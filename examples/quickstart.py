@@ -31,9 +31,9 @@ print(f"simulated {sim.alignment.n_taxa} species x {sim.alignment.n_codons} codo
       f"{int((sim.site_classes >= 2).sum())} sites truly under positive selection\n")
 
 # -- 2-3. Fit H0 + H1 and test -----------------------------------------
-engine = make_engine("slim")  # "codeml" | "slim" | "slim-v2"
+engine = make_engine()  # default "slim-v2"; or "codeml" | "slim"
 test = fit_branch_site_test(
-    lambda model: engine.bind(tree, sim.alignment, model),
+    lambda model: engine.bind(tree, sim.alignment, model, incremental=True),
     seed=1,
     max_iterations=50,
 )

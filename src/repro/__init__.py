@@ -18,8 +18,10 @@ Quick start::
     tree.mark_foreground(tree.leaves[0])
     truth = {"kappa": 2.0, "omega0": 0.2, "omega2": 4.0, "p0": 0.5, "p1": 0.3}
     sim = simulate_alignment(tree, BranchSiteModelA(), truth, n_codons=300, seed=2)
-    engine = make_engine("slim")
-    test = fit_branch_site_test(lambda m: engine.bind(tree, sim.alignment, m), seed=1)
+    engine = make_engine()  # the shipped default, slim-v2 (repro.defaults)
+    test = fit_branch_site_test(
+        lambda m: engine.bind(tree, sim.alignment, m, incremental=True), seed=1
+    )
     print(test.summary())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import defaults
 from repro.alignment.parsers import read_alignment, write_phylip
 from repro.core.engine import make_engine
 from repro.io.ctl import ControlFile, parse_ctl
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default=None,
         choices=["codeml", "slim", "slim-v2"],
-        help="likelihood engine (default from ctl, else slim)",
+        help=f"likelihood engine (default from ctl, else {defaults.ENGINE})",
     )
     run.add_argument("--seed", type=int, default=None, help="start-value seed")
     run.add_argument("--max-iterations", type=int, default=None)
@@ -72,10 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--cleandata", action="store_true", help="drop columns with gaps")
     run.add_argument(
-        "--incremental", action="store_true",
-        help="enable incremental likelihood evaluation (dirty-path CLV "
-             "caching + cross-class subtree sharing); bit-identical to "
-             "full re-pruning",
+        "--no-incremental", dest="incremental", action="store_false",
+        default=defaults.INCREMENTAL,
+        help="disable incremental likelihood evaluation (dirty-path CLV "
+             "caching + cross-class subtree sharing); incremental runs "
+             "are bit-identical to full re-pruning",
     )
     run.add_argument(
         "--batched", dest="batched", action="store_true", default=None,
@@ -96,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--treefile", required=True, help="Newick tree (marks are ignored)")
     scan.add_argument("--gene-id", default=None, help="task-id prefix (default: seqfile stem)")
     scan.add_argument(
-        "--engine", default="slim", choices=["codeml", "slim", "slim-v2"],
-        help="likelihood engine",
+        "--engine", default=defaults.ENGINE, choices=["codeml", "slim", "slim-v2"],
+        help=f"likelihood engine (default {defaults.ENGINE})",
     )
     scan.add_argument("--internal-only", action="store_true",
                       help="scan internal branches only")
@@ -151,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identical to the historical unguarded code",
     )
     scan.add_argument(
-        "--no-incremental", dest="incremental", action="store_false", default=True,
+        "--no-incremental", dest="incremental", action="store_false",
+        default=defaults.INCREMENTAL,
         help="disable incremental likelihood evaluation (dirty-path CLV "
              "caching + cross-class subtree sharing); incremental runs "
              "are bit-identical to full re-pruning",

@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.linalg.blas import dgemm, dgemv, dsymm, dsymv
 
+from repro import defaults
 from repro.alignment.msa import CodonAlignment
 from repro.alignment.patterns import PatternAlignment, compress_patterns
 from repro.codon.frequencies import estimate_codon_frequencies
@@ -102,13 +103,58 @@ __all__ = [
 ]
 
 
+def _guarded_decomposer(
+    driver: str, config: RecoveryConfig, recorder: Optional[NumericalEventRecorder]
+) -> Callable:
+    """The recovery-ladder decomposition call a :class:`DecompositionCache` routes.
+
+    Closes over the engine's settings, never the engine itself: the
+    cache lives on the engine, so a closure over ``self`` would make a
+    reference cycle that keeps every finished engine — transition
+    cache, incremental states, memos — alive until a full GC pass.
+    """
+
+    def decomposer(matrix: CodonRateMatrix, counter: Optional[FlopCounter]):
+        return decompose_guarded(
+            matrix, driver=driver, counter=counter, config=config, recorder=recorder,
+        )
+
+    return decomposer
+
+
+def _frozen_copy(block: np.ndarray) -> np.ndarray:
+    """Read-only F-ordered copy of one block of a larger buffer.
+
+    Long-lived caches hold these instead of views, so an entry pins its
+    own few kilobytes rather than the whole stack it was sliced from.
+    """
+    out = np.array(block, order="F")
+    out.setflags(write=False)
+    return out
+
+
+#: Operator sets an auto-sized transition cache holds per bound problem
+#: (see :meth:`LikelihoodEngine._fit_transition_cache`).  Four keep every
+#: hit an unbounded cache gets when slim-v2 + incremental fits datasets
+#: iii and iv (one iteration) and i (to convergence); three lose 0.5–2%.
+TRANSITION_CACHE_SETS = 4
+#: Floor of an auto-sized transition cache, in operators.
+MIN_TRANSITION_CACHE = 64
+#: Leaf-contribution sets a binding's memo holds, per leaf and distinct
+#: ω (+1).  With incremental CLVs the memo serves the full passes of
+#: model-parameter probes that leave some ω decompositions unchanged; two
+#: keep every hit an unbounded memo gets on datasets i and iii.
+LEAF_MEMO_SETS = 2
+
+
 class BatchedOperatorSet:
     """All branch operators of one ω class, possibly backed by one stack.
 
     ``stack`` is the frozen F-ordered ``(n, n·B)`` buffer from a stacked
     build (``None`` when the operators were built per branch — Padé
-    fallback decompositions, engines without a stacked kernel, or
-    transition-cache hits).  Each entry of ``operators`` (keyed by
+    fallback decompositions, engines without a stacked kernel — or
+    served through the transition cache, which holds copies).  Each
+    entry of ``operators`` (keyed by
     branch length) is then a zero-copy, read-only, F-contiguous
     column-block view of the stack, packaged in the engine's operator
     form.  Because the views only *reference* the stack, replacing one
@@ -161,6 +207,11 @@ class LikelihoodEngine:
         decomposition tokens stable across the optimizer's
         single-coordinate gradient probes, so a probe of one branch
         length reuses every other branch's operator (DESIGN.md §10).
+    transition_cache_size:
+        LRU capacity of that cache, in operators.  ``None`` (default)
+        sizes it from the problems bound to the engine (branches ×
+        distinct ω, see :meth:`_fit_transition_cache`), never below
+        :data:`MIN_TRANSITION_CACHE`.  An explicit size is kept as given.
     recovery:
         A :class:`~repro.core.recovery.RecoveryConfig` enables the
         numerical self-healing layer: the eigensolver fallback ladder
@@ -189,7 +240,7 @@ class LikelihoodEngine:
         stopwatch: Optional[Stopwatch] = None,
         cache_decompositions: bool = True,
         cache_transition_matrices: Optional[bool] = None,
-        transition_cache_size: int = 4096,
+        transition_cache_size: Optional[int] = None,
         recovery: Optional[RecoveryConfig] = None,
         batched: Optional[bool] = None,
     ) -> None:
@@ -203,10 +254,7 @@ class LikelihoodEngine:
             NumericalEventRecorder() if recovery is not None else None
         )
         decomposer = (
-            (lambda matrix, counter: decompose_guarded(
-                matrix, driver=self.eigh_driver, counter=counter,
-                config=self.recovery, recorder=self.events,
-            ))
+            _guarded_decomposer(self.eigh_driver, recovery, self.events)
             if recovery is not None
             else None
         )
@@ -227,7 +275,12 @@ class LikelihoodEngine:
         # collected, a recycled id would silently alias a fresh
         # decomposition onto a stale P(t).
         self._transition_cache: "OrderedDict[Tuple[int, float], object]" = OrderedDict()
-        self._transition_cache_size = transition_cache_size
+        self._transition_cache_fixed = transition_cache_size is not None
+        self._transition_cache_size = (
+            int(transition_cache_size)
+            if transition_cache_size is not None
+            else MIN_TRANSITION_CACHE
+        )
         self.transition_hits = 0
         self.transition_misses = 0
         #: Branch operators *built* (cache misses) per ladder rung that
@@ -382,8 +435,10 @@ class LikelihoodEngine:
 
         The batched analogue of :meth:`_operator_for`: with the LRU
         transition cache enabled, cached lengths are served as hits and
-        only the misses are built (stacked); fresh views are inserted
-        back into the cache.
+        only the misses are built (stacked).  Each fresh operator enters
+        the cache, and the returned set, as a read-only copy of its
+        block (:meth:`_detach_operator`), so the stack is freed once
+        built.
         """
         with self.stopwatch.measure("expm"):
             if not self._use_transition_cache(decomp):
@@ -404,11 +459,36 @@ class LikelihoodEngine:
                 return BatchedOperatorSet(cached)
             built = self.build_operator_set(decomp, missing)
             for t, op in built.operators.items():
+                # A view would pin the whole stacked build for as long
+                # as the entry lives; the copy pins one n×n block.
+                if built.stack is not None:
+                    op = self._detach_operator(op)
                 self._transition_cache[(decomp.token, t)] = op
+                cached[t] = op
             while len(self._transition_cache) > self._transition_cache_size:
                 self._transition_cache.popitem(last=False)
-            cached.update(built.operators)
-            return BatchedOperatorSet(cached, built.stack)
+            return BatchedOperatorSet(cached)
+
+    def _fit_transition_cache(self, n_branches: int, n_omegas: int) -> None:
+        """Grow an auto-sized transition cache to fit one bound problem.
+
+        One evaluation needs at most ``n_branches × n_omegas`` operators.
+        A finite-difference gradient keeps that base set hot while its
+        model-parameter probes and line-search trials build fresh sets
+        beside it, so the LRU holds :data:`TRANSITION_CACHE_SETS` sets
+        of ``n_branches × (n_omegas + 1)`` — one spare ω for the probed
+        decomposition.  The cap only grows: an engine shared by several
+        bindings (H0 and H1, survey candidates) fits the largest.
+        """
+        if self._transition_cache_fixed:
+            return
+        need = TRANSITION_CACHE_SETS * n_branches * (n_omegas + 1)
+        if need > self._transition_cache_size:
+            self._transition_cache_size = need
+
+    def _detach_operator(self, operator: object) -> object:
+        """A cache-owned copy of an operator that may view a stack."""
+        return _frozen_copy(operator)
 
     # ------------------------------------------------------------------
     def _decompose(self, matrix: CodonRateMatrix):
@@ -858,6 +938,10 @@ class SlimV2Engine(LikelihoodEngine):
     def _operator_from_view(self, view: np.ndarray, decomp) -> tuple:
         return (view, decomp.pi)
 
+    def _detach_operator(self, operator: tuple) -> tuple:
+        m, pi = operator
+        return (_frozen_copy(m), pi)
+
     def _operator_probability_matrix(self, operator: tuple) -> np.ndarray:
         # P(t)·w = M·(Πw), column-wise: P = M·Π.
         m, pi = operator
@@ -1001,11 +1085,12 @@ class BoundLikelihood:
         # (decomposition token, t, leaf): the leaf CLV never changes and
         # tokens are process-unique, so a hit is bit-identical to
         # recomputation.  LRU-bounded; ~n_patterns·n_states·8 bytes per
-        # entry.
+        # entry, capped at LEAF_MEMO_SETS × leaves × (distinct ω + 1)
+        # once the first evaluation shows the ω count.
         self._leaf_contrib_memo: "OrderedDict[Tuple[int, float, int], np.ndarray]" = (
             OrderedDict()
         )
-        self._leaf_contrib_cap = max(256, 16 * len(self._leaf_clvs))
+        self._leaf_contrib_cap = 0
 
     def set_incremental(self, enabled: bool) -> None:
         """Toggle incremental evaluation, dropping any cached state."""
@@ -1057,6 +1142,11 @@ class BoundLikelihood:
             return memo[1], memo[2]
         graph = self.model.site_class_graph(values)
         matrices = build_class_matrices(values["kappa"], graph.nodes, self.pi, self.engine.code)
+        self.engine._fit_transition_cache(self.n_branches, len(matrices))
+        self._leaf_contrib_cap = max(
+            self._leaf_contrib_cap,
+            LEAF_MEMO_SETS * len(self._leaf_clvs) * (len(matrices) + 1),
+        )
         decomps = {omega: self.engine._decompose(m) for omega, m in matrices.items()}
         if self.incremental or self.batched:
             self._class_memo = (dict(values), graph, decomps)
@@ -1371,9 +1461,11 @@ class BoundLikelihood:
                     )
                     stopwatch.add("clv", time.perf_counter() - start)
                     for (j, key, _, _), out in zip(misses, outs):
-                        contributions[j] = out
                         if key is not None:
-                            memo[key] = out
+                            # Copied, so the memo never pins a whole
+                            # level's output stack.
+                            out = memo[key] = _frozen_copy(out)
+                        contributions[j] = out
                     while len(memo) > memo_cap:
                         memo.popitem(last=False)
                 return contributions
@@ -1554,8 +1646,11 @@ _ENGINES = {
 }
 
 
-def make_engine(name: str, **kwargs) -> LikelihoodEngine:
-    """Engine factory by CLI-friendly name (see module docstring table)."""
+def make_engine(name: str = defaults.ENGINE, **kwargs) -> LikelihoodEngine:
+    """Engine factory by CLI-friendly name (see module docstring table).
+
+    With no name, the shipped default engine (:mod:`repro.defaults`).
+    """
     try:
         cls = _ENGINES[name.lower()]
     except KeyError:

@@ -17,6 +17,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Union
 
+from repro import defaults
+
 __all__ = ["ControlFile", "parse_ctl", "write_ctl"]
 
 PathLike = Union[str, os.PathLike]
@@ -48,7 +50,7 @@ class ControlFile:
     cleandata: int = 0
     icode: int = 0
     #: Extension: likelihood engine ("codeml", "slim", "slim-v2").
-    engine: str = "slim"
+    engine: str = defaults.ENGINE
     #: Extension: optimizer iteration budget.
     max_iterations: int = 200
     #: Extension: RNG seed for start values (paper fixes this, §IV).

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-import scipy.optimize
 
 from repro.core.engine import BoundLikelihood
 from repro.core.recovery import FitDiagnostics, NumericalEvent, RecoveryPolicy
@@ -285,6 +284,10 @@ def fit_model(
                 coordinate_touched=coordinate_touched,
             )
         if method == "lbfgsb":
+            # Imported here: scipy.optimize pulls in half of scipy, and
+            # only this cross-check backend needs it.
+            import scipy.optimize
+
             res = scipy.optimize.minimize(
                 objective,
                 x_start,
@@ -548,6 +551,9 @@ def fit_branch_site_test(
         **fit_kwargs,
     )
 
+    # Drop H0's binding (its incremental states and leaf memo) before H1
+    # builds its own: nothing after the H0 fit reads it.
+    del bound0
     bound1 = make_bound(h1_model)
     h1_start = _with_overrides(h1_model, h1_model.default_start(make_rng(seed)))
     h1_start = _grid(h1_model, bound1, h1_start)

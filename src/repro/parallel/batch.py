@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import defaults
 from repro.alignment.msa import CodonAlignment
 from repro.alignment.patterns import PatternAlignment, compress_patterns
 from repro.codon.frequencies import estimate_codon_frequencies
@@ -216,7 +217,8 @@ def _run_gene(args: Tuple) -> GeneResult:
 
     The payload is ``(job, engine_name, seed, max_iterations)`` with an
     optional fifth ``recover`` flag, an optional sixth ``incremental``
-    flag, an optional seventh ``batched`` override, an optional eighth
+    flag (absent = :data:`repro.defaults.INCREMENTAL`), an optional
+    seventh ``batched`` override, an optional eighth
     ``model`` spec string and an optional ninth ``map_samples`` count
     (older 4-…-8-tuples keep working — the journal-resume and
     custom-worker seams rely on that).
@@ -226,7 +228,7 @@ def _run_gene(args: Tuple) -> GeneResult:
     """
     job, engine_name, seed, max_iterations = args[:4]
     recover = bool(args[4]) if len(args) > 4 else False
-    incremental = bool(args[5]) if len(args) > 5 else False
+    incremental = bool(args[5]) if len(args) > 5 else defaults.INCREMENTAL
     batched = args[6] if len(args) > 6 else None
     model_spec = args[7] if len(args) > 7 else None
     map_samples = args[8] if len(args) > 8 else None
@@ -466,7 +468,7 @@ def _run_gene_shared(payload: Tuple, context: Dict) -> GeneResult:
 
 def analyze_genes(
     jobs: Sequence[GeneJob],
-    engine: str = "slim",
+    engine: str = defaults.ENGINE,
     processes: Optional[int] = None,
     seed: int = 1,
     max_iterations: int = 50,
@@ -477,7 +479,7 @@ def analyze_genes(
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
     recover: bool = False,
-    incremental: bool = False,
+    incremental: bool = defaults.INCREMENTAL,
     batched: Optional[bool] = None,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
@@ -495,6 +497,8 @@ def analyze_genes(
 
     Parameters
     ----------
+    engine:
+        Likelihood engine name; default :data:`repro.defaults.ENGINE`.
     policy:
         Retry/timeout/crash-recovery policy; default is fail-soft with
         no retries (every task runs once, failures are captured).
@@ -525,11 +529,12 @@ def analyze_genes(
         rides back on ``GeneResult.diagnostics``.  Off by default —
         results are then bit-identical to the unguarded code.
     incremental:
-        Enable dirty-path CLV caching in each worker
+        Dirty-path CLV caching in each worker
         (:meth:`LikelihoodEngine.bind` with ``incremental=True``): BFGS
         gradient probes re-prune only the probed branch's root path and
-        model-A classes share background subtrees.  Bit-identical to the
-        full re-pruning path; the reuse counters ride back on
+        model-A classes share background subtrees.  On by default
+        (:data:`repro.defaults.INCREMENTAL`); bit-identical to the full
+        re-pruning path; the reuse counters ride back on
         ``GeneResult.clv_stats``.
     batched:
         Override the stacked-operator / level-order evaluation path in
@@ -603,18 +608,19 @@ def analyze_genes(
         # Custom-worker seam: the historical self-contained tuples.
         for job, s in zip(pending_jobs, payload_seeds):
             base: Tuple = (job, engine, s, max_iterations)
-            # Keep the historical 4-tuple when no flag is set so custom
-            # workers written against it never see a surprise element;
-            # ``incremental`` rides sixth after ``recover``, the
-            # ``batched`` override seventh, the model spec eighth, the
-            # mapping sample count ninth.
+            # Keep the historical 4-tuple when every flag is at its
+            # default so custom workers written against it never see a
+            # surprise element; ``incremental`` rides sixth after
+            # ``recover``, the ``batched`` override seventh, the model
+            # spec eighth, the mapping sample count ninth.
             mapping_on = map_samples is not None
-            if recover or incremental or batched is not None or model is not None \
-                    or mapping_on:
+            non_default_inc = bool(incremental) != defaults.INCREMENTAL
+            later = batched is not None or model is not None or mapping_on
+            if recover or non_default_inc or later:
                 base = base + (recover,)
-            if incremental or batched is not None or model is not None or mapping_on:
+            if non_default_inc or later:
                 base = base + (incremental,)
-            if batched is not None or model is not None or mapping_on:
+            if later:
                 base = base + (None if batched is None else bool(batched),)
             if model is not None or mapping_on:
                 base = base + (model,)
@@ -739,7 +745,7 @@ def scan_branches(
     gene_id: str,
     tree: Tree,
     alignment: CodonAlignment,
-    engine: str = "slim",
+    engine: str = defaults.ENGINE,
     internal_only: bool = False,
     seed: int = 1,
     max_iterations: int = 50,
@@ -751,7 +757,7 @@ def scan_branches(
     on_result: Optional[Callable[[int, GeneResult], None]] = None,
     executor: Optional[Executor] = None,
     recover: bool = False,
-    incremental: bool = False,
+    incremental: bool = defaults.INCREMENTAL,
     batched: Optional[bool] = None,
     model: Optional[str] = None,
     map_samples: Optional[int] = None,
@@ -839,7 +845,7 @@ def map_survey_candidates(
     alignment: CodonAlignment,
     scan: BranchScanResult,
     labels: Sequence[str],
-    engine: str = "slim",
+    engine: str = defaults.ENGINE,
     map_samples: int = 16,
     seed: int = 1,
     model: Optional[str] = None,

@@ -1,8 +1,16 @@
 """CLI end-to-end on tiny inputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro import defaults
 from repro.cli import build_parser, main
+from repro.io.ctl import ControlFile
 
 
 class TestParser:
@@ -21,6 +29,43 @@ class TestParser:
         rc = main(["run"])
         assert rc == 2
         assert "provide --ctl" in capsys.readouterr().err
+
+    def test_run_and_scan_share_the_shipped_defaults(self):
+        parser = build_parser()
+        files = ["--seqfile", "a", "--treefile", "b"]
+        run = parser.parse_args(["run", *files])
+        scan = parser.parse_args(["scan", *files])
+        # run takes its engine from the control file (default or parsed).
+        assert run.engine is None and ControlFile().engine == defaults.ENGINE
+        assert scan.engine == defaults.ENGINE
+        assert run.incremental is defaults.INCREMENTAL
+        assert scan.incremental is defaults.INCREMENTAL
+        for command in ("run", "scan"):
+            args = parser.parse_args([command, *files, "--no-incremental"])
+            assert args.incremental is False
+
+
+class TestImport:
+    def test_cli_import_skips_scipy_stats_and_optimize(self):
+        # Both pull in most of scipy (sparse, spatial, interpolate,
+        # integrate) and roughly double the start-up cost of every
+        # command; only the L-BFGS-B cross-check and chi-square df > 2
+        # load them, on demand.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

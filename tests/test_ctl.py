@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import defaults
 from repro.io.ctl import ControlFile, parse_ctl, parse_ctl_text, write_ctl
 
 EXAMPLE = """
@@ -34,7 +35,7 @@ class TestParse:
     def test_defaults(self):
         ctl = parse_ctl_text("seqfile = a.phy\ntreefile = a.nwk\n")
         assert ctl.model == 2 and ctl.nssites == 2
-        assert ctl.engine == "slim"
+        assert ctl.engine == defaults.ENGINE == "slim-v2"
         assert ctl.hypothesis == "H1"
         assert ctl.freq_method == "f3x4"
 

@@ -377,7 +377,7 @@ class TestBatchIntegration:
         from repro.parallel.metrics import summarize_results
 
         job = GeneJob.from_objects("g1", small_tree, small_sim.alignment)
-        [plain] = analyze_genes([job], processes=1, max_iterations=3)
+        [plain] = analyze_genes([job], processes=1, max_iterations=3, incremental=False)
         [inc] = analyze_genes([job], processes=1, max_iterations=3, incremental=True)
         assert plain.clv_stats is None
         assert inc.clv_stats is not None and inc.clv_stats["reuses"] > 0

@@ -1,9 +1,10 @@
 """Likelihood ratio test arithmetic."""
 
+import numpy as np
 import pytest
 import scipy.stats
 
-from repro.optimize.lrt import likelihood_ratio_test
+from repro.optimize.lrt import chi2_sf, likelihood_ratio_test
 
 
 class TestLRT:
@@ -51,3 +52,22 @@ class TestLRT:
     def test_higher_df(self):
         res = likelihood_ratio_test(-10.0, -5.0, df=2)
         assert res.pvalue_chi2 == pytest.approx(scipy.stats.chi2.sf(10.0, 2))
+
+
+class TestChi2Tail:
+    @pytest.mark.parametrize("df", [1, 2])
+    def test_closed_forms_match_scipy(self, df):
+        # df = 1 is erfc(sqrt(x/2)), df = 2 is exp(-x/2); the grid spans
+        # 2*delta from numerical noise to the deepest printable p-value.
+        xs = np.logspace(-12, np.log10(1400.0), 400)
+        got = np.array([chi2_sf(float(x), df) for x in xs])
+        ref = scipy.stats.chi2.sf(xs, df)
+        assert np.all(ref > 0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_other_df_falls_back_to_scipy(self):
+        assert chi2_sf(7.5, 4) == pytest.approx(scipy.stats.chi2.sf(7.5, 4), rel=1e-14)
+
+    def test_non_positive_statistic(self):
+        assert chi2_sf(0.0, 1) == 1.0
+        assert chi2_sf(-1.0, 2) == 1.0

@@ -5,13 +5,16 @@ they pickle into real worker processes; the ones needing live pools and
 timeouts are marked ``slow``.
 """
 
+import gc
 import time
+import weakref
 from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.alignment.simulate import simulate_alignment
+from repro.core.engine import make_engine
 from repro.models.branch_site import BranchSiteModelA
 from repro.parallel.batch import GeneJob, _run_gene, analyze_genes, scan_branches
 from repro.parallel.faults import FaultPolicy, TaskFailure
@@ -95,6 +98,32 @@ class TestScanBranches:
         before = [n.foreground for n in tree.nodes]
         scan_branches("g1", tree, alignment, internal_only=True, max_iterations=1, processes=1)
         assert [n.foreground for n in tree.nodes] == before
+
+    def test_finished_task_engine_freed_without_gc(self, gene, monkeypatch):
+        # Regression: with recovery on (the scan default) the engine's
+        # guarded decomposer closed over the engine itself, so every
+        # finished task's engine — transition cache, incremental states,
+        # memos — lived on until a full GC pass.  Reference counting
+        # alone must free it.
+        import repro.parallel.batch as batch
+
+        refs = []
+
+        def capture(*args, **kwargs):
+            engine = make_engine(*args, **kwargs)
+            refs.append(weakref.ref(engine))
+            return engine
+
+        monkeypatch.setattr(batch, "make_engine", capture)
+        tree, alignment = gene
+        gc.collect()
+        gc.disable()
+        try:
+            scan_branches("g1", tree, alignment, internal_only=True,
+                          max_iterations=1, processes=1, recover=True)
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
